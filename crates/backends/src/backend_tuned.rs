@@ -5,28 +5,24 @@
 //! construction it loads every valid `gaia-tune-profile/v1` file from the
 //! tuning directory (see [`crate::profile::tuning_dir`]); at solve time it
 //! matches the live system's shape against the loaded profiles and runs
-//! the pinned [`LaunchPlan`] — or the default chunked plan when no profile
-//! matches, recording the fallback in telemetry so a silent mismatch shows
-//! up in run reports.
-
-use std::sync::Arc;
+//! the pinned [`LaunchPlan`] — or the registry's `tuned` plan when no
+//! profile matches, recording the fallback in telemetry so a silent
+//! mismatch shows up in run reports.
 
 use gaia_sparse::{SparseSystem, SystemLayout};
 use parking_lot::Mutex;
 
-use crate::exec::ExecutorPool;
-use crate::launch::{Aprod2Spec, Aprod2Strategy, LaunchPlan};
+use crate::backend_plan::PlanBackend;
+use crate::launch::LaunchPlan;
 use crate::profile::{self, LaunchProfile};
-use crate::registry::tuned_name;
+use crate::registry::TUNED;
 use crate::traits::Backend;
 use crate::tuning::Tuning;
 
-/// Backend that executes persisted tuning profiles, defaulting to the
-/// chunked owner-computes plan for shapes the tuner never saw.
+/// The registry's `tuned` policy plus shape → profile resolution.
 #[derive(Debug)]
 pub struct TunedBackend {
-    default_plan: LaunchPlan,
-    pool: Arc<ExecutorPool>,
+    fallback: PlanBackend,
     profiles: Vec<LaunchProfile>,
     /// Resolution cache: the last shape seen and the plan picked for it
     /// (LSQR alternates `aprod1`/`aprod2` on one system, so one entry is
@@ -45,11 +41,7 @@ impl TunedBackend {
     /// Create with an explicit profile set (tests, in-process tuners).
     pub fn with_profiles(tuning: Tuning, profiles: Vec<LaunchProfile>) -> Self {
         TunedBackend {
-            default_plan: LaunchPlan::new(
-                tuning,
-                Aprod2Spec::uniform(Aprod2Strategy::OwnerComputes),
-            ),
-            pool: ExecutorPool::shared(tuning.threads),
+            fallback: PlanBackend::new(&TUNED, tuning),
             profiles,
             resolved: Mutex::new(None),
         }
@@ -73,7 +65,7 @@ impl TunedBackend {
             }
         }
         gaia_telemetry::record_tune_fallback();
-        self.default_plan
+        self.fallback.plan()
     }
 
     fn resolve(&self, sys: &SparseSystem) -> LaunchPlan {
@@ -92,21 +84,19 @@ impl TunedBackend {
 
 impl Backend for TunedBackend {
     fn name(&self) -> String {
-        tuned_name("tuned", self.default_plan.tuning)
+        self.fallback.name()
     }
 
     fn description(&self) -> &'static str {
-        "persisted tuner winner per layout (falls back to owner-computes)"
+        self.fallback.description()
     }
 
     fn aprod1(&self, sys: &SparseSystem, x: &[f64], out: &mut [f64]) {
-        self.check_aprod1(sys, x, out);
-        self.resolve(sys).aprod1(&self.pool, sys, x, out);
+        self.fallback.aprod1_with(&self.resolve(sys), sys, x, out);
     }
 
     fn aprod2(&self, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
-        self.check_aprod2(sys, y, out);
-        self.resolve(sys).aprod2(&self.pool, sys, y, out);
+        self.fallback.aprod2_with(&self.resolve(sys), sys, y, out);
     }
 
     /// The *default* plan — the one shape-independent answer. Per-shape
@@ -115,14 +105,14 @@ impl Backend for TunedBackend {
     /// registry's static check on this plan plus the load-time checks
     /// cover everything this backend can execute.
     fn launch_plan(&self) -> Option<LaunchPlan> {
-        Some(self.default_plan)
+        Some(self.fallback.plan())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::launch::{KernelVariant, WorkerBudget};
+    use crate::launch::{Aprod2Spec, Aprod2Strategy, KernelVariant, WorkerBudget};
     use crate::SeqBackend;
     use gaia_sparse::{Generator, GeneratorConfig, MatrixLayout};
 
@@ -180,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn name_encodes_the_full_tuning() {
+    fn empty_profile_set_is_the_tuned_policy() {
         let b = TunedBackend::with_profiles(Tuning::with_threads(8), Vec::new());
         assert_eq!(b.name(), "tuned-t8");
         assert_eq!(b.profile_count(), 0);

@@ -72,6 +72,32 @@ pub fn split_span(span: Range<usize>, parts: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// Star-aligned global row tiles of `tile_stars` stars each, covering
+/// every row of `sys` with the constraint rows folded into the last tile —
+/// the split `gaia-tiles/v1` spills to disk, and the row ranges
+/// [`LaunchPlan::aprod1_rows`] / [`LaunchPlan::aprod2_rows`] accept.
+pub(crate) fn star_row_tiles(sys: &SparseSystem, tile_stars: usize) -> Vec<Range<usize>> {
+    let n_stars = sys.layout().n_stars as usize;
+    let tile_rows = tile_stars.max(1) * sys.layout().obs_per_star as usize;
+    // Constraint-only systems (no stars or no observations) have no
+    // star-aligned split to make: one tile spans every row.
+    let n_tiles = if tile_rows == 0 {
+        1
+    } else {
+        n_stars.div_ceil(tile_stars.max(1)).max(1)
+    };
+    (0..n_tiles)
+        .map(|t| {
+            let end = if t + 1 == n_tiles {
+                sys.n_rows()
+            } else {
+                (t + 1) * tile_rows
+            };
+            t * tile_rows..end
+        })
+        .collect()
+}
+
 /// Worker budget per `aprod2` stream for a thread count, as
 /// `(astro, att, instr)`.
 ///
@@ -1005,6 +1031,20 @@ fn atomic_add(flavor: AtomicFlavor, slot: &AtomicU64, v: f64) {
 mod tests {
     use super::*;
 
+    /// `Aᵀ y` through the serial per-block kernels.
+    fn serial_aprod2(sys: &SparseSystem, y: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; sys.n_cols()];
+        let c = sys.columns();
+        let (astro, rest) = out.split_at_mut(c.att as usize);
+        let (att, rest2) = rest.split_at_mut((c.instr - c.att) as usize);
+        let (instr, glob) = rest2.split_at_mut((c.glob - c.instr) as usize);
+        kernels::aprod2_astro(sys, y, 0..sys.layout().n_stars as usize, astro);
+        kernels::aprod2_att(sys, y, 0..sys.n_rows(), att);
+        kernels::aprod2_instr(sys, y, 0..sys.n_obs_rows(), instr);
+        kernels::aprod2_glob(sys, y, 0..sys.n_obs_rows(), glob);
+        out
+    }
+
     fn tuning_2x4() -> Tuning {
         Tuning {
             threads: 2,
@@ -1136,17 +1176,7 @@ mod tests {
         let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.31).cos()).collect();
         let mut want1 = vec![0.0; sys.n_rows()];
         kernels::aprod1_range(&sys, &x, 0..sys.n_rows(), &mut want1);
-        let mut want2 = vec![0.0; sys.n_cols()];
-        {
-            let c = sys.columns();
-            let (astro, rest) = want2.split_at_mut(c.att as usize);
-            let (att, rest2) = rest.split_at_mut((c.instr - c.att) as usize);
-            let (instr, glob) = rest2.split_at_mut((c.glob - c.instr) as usize);
-            kernels::aprod2_astro(&sys, &y, 0..sys.layout().n_stars as usize, astro);
-            kernels::aprod2_att(&sys, &y, 0..sys.n_rows(), att);
-            kernels::aprod2_instr(&sys, &y, 0..sys.n_obs_rows(), instr);
-            kernels::aprod2_glob(&sys, &y, 0..sys.n_obs_rows(), glob);
-        }
+        let want2 = serial_aprod2(&sys, &y);
         let strategies = [
             Aprod2Strategy::OwnerComputes,
             Aprod2Strategy::Atomic,
@@ -1224,17 +1254,7 @@ mod tests {
         use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
         let sys = Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(7)).generate();
         let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.31).sin()).collect();
-        let mut want = vec![0.0; sys.n_cols()];
-        {
-            let c = sys.columns();
-            let (astro, rest) = want.split_at_mut(c.att as usize);
-            let (att, rest2) = rest.split_at_mut((c.instr - c.att) as usize);
-            let (instr, glob) = rest2.split_at_mut((c.glob - c.instr) as usize);
-            kernels::aprod2_astro(&sys, &y, 0..sys.layout().n_stars as usize, astro);
-            kernels::aprod2_att(&sys, &y, 0..sys.n_rows(), att);
-            kernels::aprod2_instr(&sys, &y, 0..sys.n_obs_rows(), instr);
-            kernels::aprod2_glob(&sys, &y, 0..sys.n_obs_rows(), glob);
-        }
+        let want = serial_aprod2(&sys, &y);
         let pool = ExecutorPool::new(3);
         let strategies = [
             Aprod2Strategy::OwnerComputes,
@@ -1269,17 +1289,7 @@ mod tests {
         let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.29).cos()).collect();
         let mut want1 = vec![0.0; sys.n_rows()];
         kernels::aprod1_range(&sys, &x, 0..sys.n_rows(), &mut want1);
-        let mut want2 = vec![0.0; sys.n_cols()];
-        {
-            let c = sys.columns();
-            let (astro, rest) = want2.split_at_mut(c.att as usize);
-            let (att, rest2) = rest.split_at_mut((c.instr - c.att) as usize);
-            let (instr, glob) = rest2.split_at_mut((c.glob - c.instr) as usize);
-            kernels::aprod2_astro(&sys, &y, 0..sys.layout().n_stars as usize, astro);
-            kernels::aprod2_att(&sys, &y, 0..sys.n_rows(), att);
-            kernels::aprod2_instr(&sys, &y, 0..sys.n_obs_rows(), instr);
-            kernels::aprod2_glob(&sys, &y, 0..sys.n_obs_rows(), glob);
-        }
+        let want2 = serial_aprod2(&sys, &y);
         let pool = ExecutorPool::new(3);
         let strategies = [
             Aprod2Strategy::OwnerComputes,
@@ -1330,5 +1340,70 @@ mod tests {
         let plan = LaunchPlan::new(tuning_2x4(), Aprod2Spec::uniform(Aprod2Strategy::Atomic));
         assert_eq!(plan.variant, KernelVariant::Scalar);
         assert_eq!(plan.matrix_layout, MatrixLayout::RowMajor);
+    }
+
+    /// The tile-height coverage of the tiled launch shape: star-aligned
+    /// tiles partition every row, and running the owner-computes plan tile
+    /// by tile is bitwise the sequential kernels at every tile height and
+    /// thread count (owner-computes accumulates each slot in ascending row
+    /// order, and tiles are visited in row order).
+    #[test]
+    fn star_row_tiles_run_bitwise_through_the_rows_entry_points() {
+        use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
+        let sys = Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(12)).generate();
+        let obs = sys.layout().obs_per_star as usize;
+        for tile_stars in [1usize, 2, 3, 7, 1000] {
+            let mut cursor = 0;
+            for t in star_row_tiles(&sys, tile_stars) {
+                assert_eq!(t.start, cursor);
+                assert_eq!(t.start % obs, 0, "tile starts between stars");
+                cursor = t.end;
+            }
+            assert_eq!(cursor, sys.n_rows(), "tiles cover every row");
+        }
+
+        let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.19).sin()).collect();
+        let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.23).cos()).collect();
+        let mut want1 = vec![0.0; sys.n_rows()];
+        kernels::aprod1_range(&sys, &x, 0..sys.n_rows(), &mut want1);
+        let want2 = serial_aprod2(&sys, &y);
+        for threads in [1usize, 3, 8] {
+            let pool = ExecutorPool::new(threads);
+            let plan = LaunchPlan::new(
+                Tuning::with_threads(threads),
+                Aprod2Spec::uniform(Aprod2Strategy::OwnerComputes),
+            );
+            for tile_stars in [1usize, 2, 7] {
+                let mut got1 = vec![0.0; sys.n_rows()];
+                let mut got2 = vec![0.0; sys.n_cols()];
+                for rows in star_row_tiles(&sys, tile_stars) {
+                    plan.aprod1_rows(&pool, &sys, &x, rows.clone(), &mut got1[rows.clone()]);
+                    plan.aprod2_rows(&pool, &sys, &y, rows, &mut got2);
+                }
+                assert_eq!(got1, want1, "aprod1 t{threads} tile_stars={tile_stars}");
+                assert_eq!(got2, want2, "aprod2 t{threads} tile_stars={tile_stars}");
+            }
+        }
+    }
+
+    /// Lock striping is exact at both extremes of the stripe count: one
+    /// stripe (every update serialized) and far more stripes than columns.
+    #[test]
+    fn striped_extremes_match_the_serial_kernels() {
+        use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
+        let sys = Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(62)).generate();
+        let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.02).cos()).collect();
+        let want = serial_aprod2(&sys, &y);
+        for (threads, stripes) in [(4usize, 1usize), (3, 10_000)] {
+            let plan = LaunchPlan::new(
+                Tuning::with_threads(threads),
+                Aprod2Spec::uniform(Aprod2Strategy::LockStriped { stripes }),
+            );
+            let mut got = vec![0.0; sys.n_cols()];
+            plan.aprod2(&ExecutorPool::new(threads), &sys, &y, &mut got);
+            for (g, w) in got.iter().zip(&want) {
+                assert!((g - w).abs() < 1e-10, "{stripes} stripes: {g} vs {w}");
+            }
+        }
     }
 }

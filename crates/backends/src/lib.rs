@@ -8,19 +8,28 @@
 //! atomic-update code generation, asynchronous streams) interact with the
 //! hardware. Rust has no production GPU-offload story, so this crate
 //! reproduces the framework axis on the CPU with strategies that exercise
-//! the same algorithmic trade-offs the paper discusses in §IV:
+//! the same algorithmic trade-offs the paper discusses in §IV.
 //!
-//! | Backend | Paper analogue | `aprod2` conflict strategy |
+//! Every strategy is selected by registry name ([`backend_by_name`]). All
+//! names but `seq`, `rayon` and the out-of-registry [`CsrBackend`] are rows
+//! of [`registry::POLICIES`]: a [`LaunchPlan`] preset run by one
+//! [`PlanBackend`].
+//!
+//! | Name | Paper analogue | Plan: `aprod2` conflict strategy |
 //! |---|---|---|
-//! | [`SeqBackend`] | reference / oracle | none (serial) |
-//! | [`ChunkedBackend`] | OpenMP target teams (owner-computes) | column-range ownership |
-//! | [`AtomicBackend`] | CUDA/HIP atomicAdd (RMW) | hardware atomics on `f64` |
-//! | [`CasLoopBackend`] | compilers that emit CAS loops instead of RMW (§V-B, MI250X discussion) | compare-and-swap retry loops |
-//! | [`ReplicatedBackend`] | privatization + reduction | per-thread buffers |
-//! | [`StripedBackend`] | lock-based fallback | striped mutexes |
-//! | [`RayonBackend`] | C++ PSTL (tuning-oblivious runtime) | star-chunk split + fold/reduce |
-//! | [`StreamedBackend`] | CUDA streams overlapping the four `aprod2` kernels | disjoint block sections on concurrent threads |
-//! | [`HybridBackend`] | the production composition: per-block strategy mix in streams | star-chunks + privatized attitude + owner-computes instrumental |
+//! | `seq` ([`SeqBackend`]) | reference / oracle | none (serial) |
+//! | `chunked` | OpenMP target teams (owner-computes) | column-range ownership |
+//! | `atomic` | CUDA/HIP atomicAdd (RMW) | hardware atomics on `f64` |
+//! | `casloop` | compilers that emit CAS loops instead of RMW (§V-B, MI250X discussion) | compare-and-swap retry loops |
+//! | `replicated` | privatization + reduction | per-chunk private buffers |
+//! | `striped` | lock-based fallback | `4 × threads` striped mutexes |
+//! | `rayon` ([`RayonBackend`]) | C++ PSTL (tuning-oblivious runtime) | star-chunk split + fold/reduce |
+//! | `streamed` | CUDA streams overlapping the four `aprod2` kernels | owner-computes, concurrent block streams |
+//! | `hybrid` | the production composition: per-block strategy mix in streams | privatized attitude + owner-computes instrumental, streamed |
+//! | `unrolled` / `blocked` | hand-unrolled / cache-blocked kernel interiors | owner-computes, non-scalar [`KernelVariant`] |
+//! | `ell` | coalesced (slot-major) value layout | owner-computes over the ELL mirror |
+//! | `tiled` | the out-of-core traversal on a resident system | owner-computes, one star-aligned row tile at a time |
+//! | `tuned` ([`TunedBackend`]) | the per-platform tuned launch of §V-B | the persisted profile's plan, else owner-computes |
 //!
 //! All backends implement [`Backend`] and are validated against each other
 //! and against a dense oracle; the astrometric part of `aprod2` is always
@@ -44,28 +53,16 @@ pub mod registry;
 pub mod traits;
 pub mod tuning;
 
-mod backend_atomic;
-mod backend_chunked;
 mod backend_csr;
-mod backend_hybrid;
+mod backend_plan;
 mod backend_rayon;
-mod backend_replicated;
 mod backend_seq;
-mod backend_streamed;
-mod backend_striped;
-mod backend_tiled;
 mod backend_tuned;
 
-pub use backend_atomic::{AtomicBackend, CasLoopBackend};
-pub use backend_chunked::ChunkedBackend;
 pub use backend_csr::CsrBackend;
-pub use backend_hybrid::HybridBackend;
+pub use backend_plan::PlanBackend;
 pub use backend_rayon::RayonBackend;
-pub use backend_replicated::ReplicatedBackend;
 pub use backend_seq::SeqBackend;
-pub use backend_streamed::StreamedBackend;
-pub use backend_striped::StripedBackend;
-pub use backend_tiled::TiledBackend;
 pub use backend_tuned::TunedBackend;
 pub use chaos::{ChaosBackend, ChaosMode, ChaosTarget};
 pub use exec::ExecutorPool;

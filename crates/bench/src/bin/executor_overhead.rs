@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use gaia_backends::kernels;
 use gaia_backends::launch::split_ranges;
-use gaia_backends::{Backend, ChunkedBackend, Tuning};
+use gaia_backends::{backend_by_name, Backend};
 use gaia_bench::stats::Summary;
 use gaia_bench::{fatal, must_write_artifact};
 use gaia_sparse::{Generator, GeneratorConfig, SparseSystem, SystemLayout};
@@ -218,7 +218,8 @@ fn main() {
             |s, x, o| legacy_aprod1(s, x, o, threads),
             |s, y, o| legacy_aprod2(s, y, o, threads),
         );
-        let pooled_backend = ChunkedBackend::new(Tuning::with_threads(threads));
+        let pooled_backend =
+            backend_by_name(&format!("chunked-t{threads}"), threads).expect("registered backend");
         let (p1, p2, pi) = time_case(
             &sys,
             case.warmup,

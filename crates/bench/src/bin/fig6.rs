@@ -17,7 +17,7 @@
 use gaia_avugsr_fig6::run;
 
 mod gaia_avugsr_fig6 {
-    use gaia_backends::{AtomicBackend, Backend, SeqBackend, StreamedBackend};
+    use gaia_backends::{backend_by_name, Backend, SeqBackend};
     use gaia_lsqr::{compare_solutions, solve, LsqrConfig, Solution, MICRO_ARCSEC_RAD};
     use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
@@ -59,21 +59,16 @@ mod gaia_avugsr_fig6 {
             production.relative_residual()
         );
 
-        let ports: Vec<(&str, Box<dyn Backend>)> = vec![
-            (
-                "HIP-on-H100 role (atomic backend)",
-                Box::new(AtomicBackend::with_threads(4)),
-            ),
-            (
-                "HIP-on-MI250X role (streamed backend)",
-                Box::new(StreamedBackend::with_threads(4)),
-            ),
+        let ports = [
+            ("HIP-on-H100 role (atomic backend)", "atomic-t4"),
+            ("HIP-on-MI250X role (streamed backend)", "streamed-t4"),
         ];
 
         let n_astro = sys.layout().n_astro_cols() as usize;
         let mut artifacts = Vec::new();
-        for (label, backend) in ports {
-            let sol = solve_port(&sys, &backend);
+        for (label, name) in ports {
+            let backend = backend_by_name(name, 4).expect("registered backend");
+            let sol = solve_port(&sys, backend.as_ref());
             let agr = compare_solutions(&production, &sol);
             let one_sigma = agr.within_one_sigma.unwrap_or(0.0);
             let below_10uas = agr.stderr_within(10.0 * MICRO_ARCSEC_RAD);

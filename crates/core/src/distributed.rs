@@ -5,15 +5,32 @@
 //! star-aligned *shard* of the rows as a real [`SparseSystem`] of its own
 //! (so any [`Backend`] — the per-rank "GPU" — can drive it, exactly the
 //! MPI+CUDA hybrid of the paper), while the unknown-sized vectors `v`,
-//! `w`, `x` are replicated. Per iteration:
+//! `w`, `x` are replicated.
 //!
-//! * `aprod1` is purely local (each rank computes its own rows on its
-//!   backend);
-//! * `aprod2` produces a local partial of the unknown vector which is
-//!   `MPI_Allreduce`-summed — the deterministic rank-ordered reduction of
-//!   [`gaia_mpi_sim`] makes the replicated state bit-identical on every
-//!   rank;
-//! * the norm of the sharded `u` is an allreduce of local sums of squares.
+//! There is no distributed copy of the LSQR recurrence. Every rank steps
+//! the one core, [`OperatorLsqr`], over a `ShardOperator` — the
+//! rank's view of the full system through the [`Operator`] seam, as in the
+//! production MPI+CUDA solver, where every rank runs the same iteration
+//! with the `MPI_Allreduce` inside the products:
+//!
+//! * `aprod1` is purely local: the rank's rows of `A x`, on its backend,
+//!   from the shard's slice of the replicated `x`;
+//! * `aprod2` computes the rank's partial `Aᵀ u`, scatters it into the
+//!   global column space and `Sum`-allreduces it — the deterministic
+//!   rank-ordered reduction of [`gaia_mpi_sim`] keeps the replicated
+//!   state bit-identical on every rank;
+//! * the norm of the sharded `u` ([`Operator::row_nrm2`]) is an allreduce
+//!   of local sums of squares; column-space norms and scalings are local
+//!   [`gaia_backends::blas`] calls, never a rank backend's overrides, so
+//!   ranks with different backends cannot diverge;
+//! * once per iteration [`Operator::agree`] takes the `Max` over ranks of
+//!   the iteration time (the paper reports the slowest rank) and of the
+//!   stop flag, so a breakdown or cancellation seen by any rank stops
+//!   every rank at the same iteration.
+//!
+//! A small per-rank driver adds what only a distributed solve needs:
+//! slicing a resumed global state to the rank's rows, and assembling
+//! periodic (and cancellation) checkpoints with an `allgather` of `u`.
 //!
 //! Shards renumber the astrometric columns locally (stars are
 //! partitioned), so the only index translation is a fixed offset for the
@@ -22,7 +39,6 @@
 //! solve on any rank count equals the single-rank solve to
 //! reduction-order noise — the integration tests assert this.
 
-use gaia_backends::blas::{self, d2norm};
 use gaia_backends::{Backend, SeqBackend};
 use gaia_mpi_sim::{try_run, Communicator, FaultError, ReduceOp, WorldOptions};
 use gaia_sparse::system::{ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
@@ -30,10 +46,9 @@ use gaia_sparse::{RowPartition, SparseSystem, SystemLayout};
 
 use crate::cancel::CancellationToken;
 use crate::config::LsqrConfig;
-use crate::health;
-use crate::lsqr::LsqrState;
-use crate::precond::ColumnScaling;
-use crate::solution::{IterationStats, Solution, StopReason};
+use crate::lsqr::{LsqrState, OperatorLsqr};
+use crate::operator::{Operator, OperatorError};
+use crate::solution::{Solution, StopReason};
 
 /// One rank's slice of the system: a self-contained [`SparseSystem`] over
 /// the rank's stars (astro columns renumbered locally) plus the shared
@@ -215,493 +230,147 @@ where
     let mut results = try_run(n_ranks, opts.world.clone(), |comm| {
         let backend = backend_for(comm.rank());
         let shard = make_shard(sys, &partition, comm.rank());
-        rank_solve(sys, shard, backend.as_ref(), config, opts, comm)
+        let op = ShardOperator {
+            full: sys,
+            shard: &shard,
+            backend: backend.as_ref(),
+            comm: &comm,
+            flag_in_payload: config.health.enabled || opts.cancel.is_some(),
+        };
+        let mut solver = OperatorLsqr::new(op, *config).expect(SHARD_INFALLIBLE);
+        if let Some(token) = &opts.cancel {
+            solver = solver.with_cancel(token.clone());
+        }
+        drive_rank(&solver, opts)
     })?;
     Ok(results.swap_remove(0))
 }
 
-/// Local squared norm, reduced to the global Euclidean norm.
-fn distributed_nrm2(comm: &Communicator, local: &[f64]) -> f64 {
-    let local_sq: f64 = local.iter().map(|x| x * x).sum();
-    let global_sq = {
-        let _t = gaia_telemetry::collective_scope();
-        comm.allreduce_scalar(ReduceOp::Sum, local_sq)
-    };
-    global_sq.sqrt()
+const SHARD_INFALLIBLE: &str = "shard operator cannot fail";
+
+/// One rank's view of the full system: its shard's rows through its own
+/// backend, in the replicated global column space (see the module docs).
+struct ShardOperator<'a> {
+    full: &'a SparseSystem,
+    shard: &'a Shard,
+    backend: &'a dyn Backend,
+    comm: &'a Communicator,
+    /// Whether the stop flag rides the per-iteration `Max`-allreduce (it
+    /// can only be set with health guards on or a token attached);
+    /// otherwise only the seconds do.
+    flag_in_payload: bool,
 }
 
-#[allow(clippy::needless_range_loop)]
-fn rank_solve(
-    full: &SparseSystem,
-    shard: Shard,
-    backend: &dyn Backend,
-    cfg: &LsqrConfig,
-    opts: &DistOptions<'_>,
-    comm: Communicator,
-) -> Solution {
-    let full_layout = *full.layout();
-    let n = full.n_cols();
-    let m = full.n_rows();
-    let local_m = shard.sys.n_rows();
+impl Operator for ShardOperator<'_> {
+    /// The full row count: it is what the solution reports.
+    fn n_rows(&self) -> usize {
+        self.full.n_rows()
+    }
 
-    let scaling = if cfg.precondition {
-        ColumnScaling::from_system(full)
-    } else {
-        ColumnScaling::identity(n)
-    };
-    let d = scaling.inv_norms();
+    fn n_cols(&self) -> usize {
+        self.full.n_cols()
+    }
 
-    // Sharded u; replicated v, w, x (global column space).
-    let mut u: Vec<f64> = shard.sys.known_terms().to_vec();
-    debug_assert_eq!(u.len(), local_m);
-    let mut x = vec![0.0f64; n];
-    let mut v = vec![0.0f64; n];
-    let mut w = vec![0.0f64; n];
-    let mut var = vec![0.0f64; if cfg.compute_var { n } else { 0 }];
-    let mut tmp_n = vec![0.0f64; n];
-    let mut partial = vec![0.0f64; n];
-    let mut local_cols = vec![0.0f64; shard.sys.n_cols()];
+    /// This rank's rows of `b`.
+    fn known_terms(&self) -> &[f64] {
+        self.shard.sys.known_terms()
+    }
 
-    let damp = cfg.damp;
-    let dampsq = damp * damp;
-    let eps = f64::EPSILON;
-    let ctol = if cfg.conlim.is_finite() && cfg.conlim > 0.0 {
-        1.0 / cfg.conlim
-    } else {
-        0.0
-    };
+    /// Full-system column norms, so every rank preconditions identically.
+    fn column_norms(&self) -> Result<Vec<f64>, OperatorError> {
+        Ok(self.full.column_norms())
+    }
 
-    // Local aprod2 through the backend, scattered into the global partial
-    // and allreduce-summed.
-    let aprod2_global =
-        |u: &[f64], partial: &mut Vec<f64>, local_cols: &mut Vec<f64>, comm: &Communicator| {
-            partial.iter_mut().for_each(|p| *p = 0.0);
-            local_cols.iter_mut().for_each(|p| *p = 0.0);
-            backend.aprod2(&shard.sys, u, local_cols);
-            shard.add_to_global(local_cols, partial, &full_layout);
+    fn aprod1(&self, x: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
+        let local_x = self.shard.local_x(x, self.full.layout());
+        self.backend.aprod1(&self.shard.sys, &local_x, out);
+        Ok(())
+    }
+
+    fn aprod2(&self, y: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
+        let mut local = vec![0.0; self.shard.sys.n_cols()];
+        self.backend.aprod2(&self.shard.sys, y, &mut local);
+        let mut partial = vec![0.0; out.len()];
+        self.shard
+            .add_to_global(&local, &mut partial, self.full.layout());
+        {
             let mut t = gaia_telemetry::collective_scope();
             t.add_bytes(partial.len() as u64 * 8);
-            comm.allreduce(ReduceOp::Sum, partial);
-        };
-
-    let bnorm;
-    let mut history;
-    let mut beta;
-    let mut alfa;
-    let mut arnorm;
-    let mut rhobar;
-    let mut phibar;
-    let mut rnorm;
-    let mut anorm;
-    let mut acond;
-    let mut ddnorm;
-    let mut res2;
-    let mut xnorm;
-    let mut xxnorm;
-    let mut z;
-    let mut cs2;
-    let mut sn2;
-    let mut itn;
-
-    if let Some(st) = opts.resume {
-        // Resume a checkpoint-restored global state: slice the sharded u,
-        // copy the replicated sections, and continue the recurrence from
-        // st.itn. Because the reductions are rank-ordered deterministic,
-        // the resumed trajectory is bit-identical to the uninterrupted one
-        // at the same rank count.
-        debug_assert_eq!(st.u.len(), m, "resume state must carry the full u");
-        u.copy_from_slice(&st.u[shard.rows.clone()]);
-        x.copy_from_slice(&st.x);
-        v.copy_from_slice(&st.v);
-        w.copy_from_slice(&st.w);
-        if cfg.compute_var {
-            var.copy_from_slice(&st.var);
+            self.comm.allreduce(ReduceOp::Sum, &mut partial);
         }
-        bnorm = st.bnorm;
-        history = st.history.clone();
-        alfa = st.alfa;
-        arnorm = st.arnorm;
-        rhobar = st.rhobar;
-        phibar = st.phibar;
-        rnorm = st.rnorm;
-        anorm = st.anorm;
-        acond = st.acond;
-        ddnorm = st.ddnorm;
-        res2 = st.res2;
-        xxnorm = st.xxnorm;
-        z = st.z;
-        cs2 = st.cs2;
-        sn2 = st.sn2;
-        itn = st.itn;
-        if let Some(reason) = st.stopped {
-            scaling.unscale_solution(&mut x);
-            if cfg.compute_var {
-                scaling.unscale_variance(&mut var);
-            }
-            return Solution {
-                xnorm: blas::nrm2(&x),
-                x,
-                var,
-                stop: reason,
-                iterations: itn,
-                rnorm,
-                arnorm,
-                anorm,
-                acond,
-                bnorm,
-                n_rows: m,
-                history,
-            };
+        for (o, p) in out.iter_mut().zip(&partial) {
+            *o += p;
         }
-    } else {
-        bnorm = distributed_nrm2(&comm, &u);
-        history = Vec::new();
-
-        beta = bnorm;
-        alfa = 0.0;
-        if beta > 0.0 {
-            blas::scal(&mut u, 1.0 / beta);
-            aprod2_global(&u, &mut partial, &mut local_cols, &comm);
-            for i in 0..n {
-                v[i] = partial[i] * d[i];
-            }
-            alfa = blas::nrm2(&v);
-        }
-        if alfa > 0.0 {
-            blas::scal(&mut v, 1.0 / alfa);
-            w.copy_from_slice(&v);
-        }
-
-        arnorm = alfa * beta;
-        if arnorm == 0.0 {
-            return Solution {
-                x,
-                var,
-                stop: StopReason::TrivialSolution,
-                iterations: 0,
-                rnorm: bnorm,
-                arnorm: 0.0,
-                anorm: 0.0,
-                acond: 0.0,
-                xnorm: 0.0,
-                bnorm,
-                n_rows: m,
-                history,
-            };
-        }
-
-        rhobar = alfa;
-        phibar = beta;
-        rnorm = beta;
-        anorm = 0.0f64;
-        acond = 0.0f64;
-        ddnorm = 0.0f64;
-        res2 = 0.0f64;
-        xxnorm = 0.0f64;
-        z = 0.0f64;
-        cs2 = -1.0f64;
-        sn2 = 0.0f64;
-        itn = 0usize;
+        Ok(())
     }
-    let mut istop = StopReason::IterationLimit;
 
-    // Assemble the replicated state plus the allgathered u into a global
-    // snapshot (every rank computes it; rank 0 hands it to the sink).
-    let snapshot = |itn: usize,
-                    u_full: Vec<f64>,
-                    x: &[f64],
-                    v: &[f64],
-                    w: &[f64],
-                    var: &[f64],
-                    history: &[IterationStats],
-                    scalars: &[f64; 16]| {
-        LsqrState {
-            itn,
-            x: x.to_vec(),
-            v: v.to_vec(),
-            w: w.to_vec(),
-            u: u_full,
-            var: var.to_vec(),
-            alfa: scalars[0],
-            beta: scalars[1],
-            rhobar: scalars[2],
-            phibar: scalars[3],
-            anorm: scalars[4],
-            acond: scalars[5],
-            ddnorm: scalars[6],
-            res2: scalars[7],
-            rnorm: scalars[8],
-            arnorm: scalars[9],
-            xnorm: scalars[10],
-            xxnorm: scalars[11],
-            z: scalars[12],
-            cs2: scalars[13],
-            sn2: scalars[14],
-            bnorm: scalars[15],
-            stopped: None,
-            history: history.to_vec(),
+    fn row_nrm2(&self, u: &[f64]) -> f64 {
+        let local_sq: f64 = u.iter().map(|x| x * x).sum();
+        let _t = gaia_telemetry::collective_scope();
+        self.comm.allreduce_scalar(ReduceOp::Sum, local_sq).sqrt()
+    }
+
+    fn agree(&self, seconds: f64, stop_flag: f64) -> (f64, f64) {
+        let _t = gaia_telemetry::collective_scope();
+        if self.flag_in_payload {
+            let mut payload = [seconds, stop_flag];
+            self.comm.allreduce(ReduceOp::Max, &mut payload);
+            (payload[0], payload[1])
+        } else {
+            (
+                self.comm.allreduce_scalar(ReduceOp::Max, seconds),
+                stop_flag,
+            )
         }
+    }
+}
+
+/// Step one rank to completion: resume or initialize, iterate, and take
+/// the periodic checkpoints plus one at a cancellation.
+fn drive_rank(solver: &OperatorLsqr<ShardOperator<'_>>, opts: &DistOptions<'_>) -> Solution {
+    let op = solver.operator();
+    let mut state = match opts.resume {
+        // A checkpoint-restored global state: everything but `u` is
+        // replicated; `u` is sliced to this rank's rows. The reductions
+        // are rank-ordered deterministic, so the resumed trajectory is
+        // bit-identical to the uninterrupted one at the same rank count.
+        Some(global) => {
+            debug_assert_eq!(global.u.len(), op.n_rows(), "resume needs the full u");
+            let mut state = global.clone();
+            state.u = global.u[op.shard.rows.clone()].to_vec();
+            state
+        }
+        None => solver.try_init_state().expect(SHARD_INFALLIBLE),
     };
-
-    while itn < cfg.max_iters {
-        itn += 1;
-        // gaia-analyze: allow(timing): per-iteration wall time is solver
-        // output (convergence traces), recorded via telemetry when enabled.
-        let t_iter = std::time::Instant::now();
-
-        // u ← (A D) v − α u, local rows via the backend.
-        blas::scal(&mut u, -alfa);
-        for i in 0..n {
-            tmp_n[i] = v[i] * d[i];
-        }
-        let local_v = shard.local_x(&tmp_n, &full_layout);
-        backend.aprod1(&shard.sys, &local_v, &mut u);
-        beta = distributed_nrm2(&comm, &u);
-
-        if beta > 0.0 {
-            blas::scal(&mut u, 1.0 / beta);
-            anorm = (anorm * anorm + alfa * alfa + beta * beta + dampsq).sqrt();
-            blas::scal(&mut v, -beta);
-            aprod2_global(&u, &mut partial, &mut local_cols, &comm);
-            for i in 0..n {
-                v[i] += partial[i] * d[i];
-            }
-            alfa = blas::nrm2(&v);
-            if alfa > 0.0 {
-                blas::scal(&mut v, 1.0 / alfa);
-            }
-        }
-
-        let rhobar1 = d2norm(rhobar, damp);
-        let cs1 = rhobar / rhobar1;
-        let sn1 = damp / rhobar1;
-        let psi = sn1 * phibar;
-        phibar *= cs1;
-
-        let rho = d2norm(rhobar1, beta);
-        let cs = rhobar1 / rho;
-        let sn = beta / rho;
-        let theta = sn * alfa;
-        rhobar = -cs * alfa;
-        let phi = cs * phibar;
-        phibar *= sn;
-        let tau = sn * phi;
-
-        let t1 = phi / rho;
-        let t2 = -theta / rho;
-        let t3 = 1.0 / rho;
-        let mut dknorm_sq = 0.0;
-        for i in 0..n {
-            let wi = w[i];
-            let dk = t3 * wi;
-            dknorm_sq += dk * dk;
-            if cfg.compute_var {
-                var[i] += dk * dk;
-            }
-            x[i] += t1 * wi;
-            w[i] = v[i] + t2 * wi;
-        }
-        ddnorm += dknorm_sq;
-
-        let delta = sn2 * rho;
-        let gambar = -cs2 * rho;
-        let rhs = phi - delta * z;
-        let zbar = rhs / gambar;
-        xnorm = (xxnorm + zbar * zbar).sqrt();
-        let gamma = d2norm(gambar, theta);
-        cs2 = gambar / gamma;
-        sn2 = theta / gamma;
-        z = rhs / gamma;
-        xxnorm += z * z;
-
-        acond = anorm * ddnorm.sqrt();
-        let res1 = phibar * phibar;
-        res2 += psi * psi;
-        rnorm = (res1 + res2).sqrt();
-        arnorm = alfa * tau.abs();
-
-        let test1 = rnorm / bnorm;
-        let test2 = if anorm * rnorm > 0.0 {
-            arnorm / (anorm * rnorm)
-        } else {
-            f64::INFINITY
+    let every = opts.checkpoint_every;
+    while !state.is_done() {
+        let checkpoint_due = match solver.try_step(&mut state).expect(SHARD_INFALLIBLE) {
+            None => every > 0 && state.itn % every == 0,
+            // Recovery resumes exactly where the deadline struck.
+            Some(StopReason::Cancelled) => every > 0,
+            Some(_) => false,
         };
-        let test3 = 1.0 / acond.max(eps);
-        let t1c = test1 / (1.0 + anorm * xnorm / bnorm);
-        let rtol = cfg.btol + cfg.atol * anorm * xnorm / bnorm;
-
-        // The paper measures "the iteration time maximized among all MPI
-        // processes"; reproduce that in the recorded history. With the
-        // health guards on, the per-rank breakdown flag rides in the same
-        // Max-allreduce, so every rank takes the same stop decision with
-        // no extra collective.
-        history.push(IterationStats {
-            iteration: itn,
-            rnorm,
-            arnorm,
-            anorm,
-            acond,
-            xnorm,
-            seconds: 0.0, // patched with the reduced max below
-        });
-        let local_secs = t_iter.elapsed().as_secs_f64();
-        // The stop flag rides the seconds Max-allreduce: 2.0 = cancelled
-        // (a deadline observed by *any* rank cancels all of them at this
-        // iteration), 1.0 = health breakdown, 0.0 = keep going. Encoding
-        // both in one payload keeps the collective schedule identical on
-        // every rank even when ranks observe the token at different times.
-        let cancel_flag: f64 = if opts.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-            2.0
-        } else {
-            0.0
-        };
-        let stop_flag = if cfg.health.enabled {
-            let issue = health::check_components(
-                &cfg.health,
-                &[alfa, beta, rnorm, arnorm, xnorm],
-                &[('x', &x), ('v', &v), ('u', &u)],
-                &history,
-            );
-            let health_flag = if issue.is_some() { 1.0 } else { 0.0 };
-            let mut payload = [local_secs, cancel_flag.max(health_flag)];
-            {
-                let _t = gaia_telemetry::collective_scope();
-                comm.allreduce(ReduceOp::Max, &mut payload);
-            }
-            history.last_mut().expect("just pushed").seconds = payload[0];
-            payload[1]
-        } else if opts.cancel.is_some() {
-            let mut payload = [local_secs, cancel_flag];
-            {
-                let _t = gaia_telemetry::collective_scope();
-                comm.allreduce(ReduceOp::Max, &mut payload);
-            }
-            history.last_mut().expect("just pushed").seconds = payload[0];
-            payload[1]
-        } else {
-            let max_secs = {
-                let _t = gaia_telemetry::collective_scope();
-                comm.allreduce_scalar(ReduceOp::Max, local_secs)
-            };
-            history.last_mut().expect("just pushed").seconds = max_secs;
-            0.0
-        };
-        if stop_flag >= 2.0 {
-            istop = StopReason::Cancelled;
-            // Final checkpoint at the cancellation iteration so recovery
-            // resumes exactly where the deadline struck. Every rank got
-            // the same reduced flag, so all of them reach this allgather.
-            if opts.checkpoint_every > 0 {
-                let gathered = {
-                    let mut t = gaia_telemetry::collective_scope();
-                    t.add_bytes(u.len() as u64 * 8);
-                    comm.allgather(&u)
-                };
-                if comm.rank() == 0 {
-                    if let Some(sink) = opts.checkpoint_sink {
-                        let u_full: Vec<f64> = gathered.concat();
-                        debug_assert_eq!(u_full.len(), m);
-                        sink(&snapshot(
-                            itn,
-                            u_full,
-                            &x,
-                            &v,
-                            &w,
-                            &var,
-                            &history,
-                            &[
-                                alfa, beta, rhobar, phibar, anorm, acond, ddnorm, res2, rnorm,
-                                arnorm, xnorm, xxnorm, z, cs2, sn2, bnorm,
-                            ],
-                        ));
-                    }
-                }
-            }
-            break;
-        }
-        if stop_flag >= 1.0 {
-            istop = StopReason::NumericalBreakdown;
-            break;
-        }
-
-        let mut stop = None;
-        if itn >= cfg.max_iters {
-            stop = Some(StopReason::IterationLimit);
-        }
-        if 1.0 + test3 <= 1.0 {
-            stop = Some(StopReason::ConditionMachinePrecision);
-        }
-        if 1.0 + test2 <= 1.0 {
-            stop = Some(StopReason::LeastSquaresMachinePrecision);
-        }
-        if 1.0 + t1c <= 1.0 {
-            stop = Some(StopReason::ResidualMachinePrecision);
-        }
-        if test3 <= ctol {
-            stop = Some(StopReason::ConditionLimit);
-        }
-        if test2 <= cfg.atol {
-            stop = Some(StopReason::LeastSquaresConverged);
-        }
-        if test1 <= rtol {
-            stop = Some(StopReason::ResidualSmall);
-        }
-        if let Some(reason) = stop {
-            istop = reason;
-            break;
-        }
-
-        // Periodic checkpoint: allgather the sharded u into the global
-        // vector and hand the assembled state to the sink on rank 0. The
-        // allgather is a collective, so every rank participates whether or
-        // not it consumes the snapshot.
-        if opts.checkpoint_every > 0 && itn % opts.checkpoint_every == 0 {
-            let gathered = {
-                let mut t = gaia_telemetry::collective_scope();
-                t.add_bytes(u.len() as u64 * 8);
-                comm.allgather(&u)
-            };
-            if comm.rank() == 0 {
-                if let Some(sink) = opts.checkpoint_sink {
-                    let u_full: Vec<f64> = gathered.concat();
-                    debug_assert_eq!(u_full.len(), m);
-                    sink(&snapshot(
-                        itn,
-                        u_full,
-                        &x,
-                        &v,
-                        &w,
-                        &var,
-                        &history,
-                        &[
-                            alfa, beta, rhobar, phibar, anorm, acond, ddnorm, res2, rnorm, arnorm,
-                            xnorm, xxnorm, z, cs2, sn2, bnorm,
-                        ],
-                    ));
-                }
-            }
+        if checkpoint_due {
+            checkpoint(&state, op.comm, opts.checkpoint_sink);
         }
     }
+    solver.finish(state)
+}
 
-    scaling.unscale_solution(&mut x);
-    if cfg.compute_var {
-        scaling.unscale_variance(&mut var);
-    }
-    xnorm = blas::nrm2(&x);
-
-    Solution {
-        x,
-        var,
-        stop: istop,
-        iterations: itn,
-        rnorm,
-        arnorm,
-        anorm,
-        acond,
-        xnorm,
-        bnorm,
-        n_rows: m,
-        history,
+/// Allgather the sharded `u` and hand the assembled global state, as a
+/// resumable (not stopped) snapshot, to the sink on rank 0. A collective:
+/// every rank calls it at the same iteration.
+fn checkpoint(state: &LsqrState, comm: &Communicator, sink: Option<CheckpointSink<'_>>) {
+    let gathered = {
+        let mut t = gaia_telemetry::collective_scope();
+        t.add_bytes(state.u.len() as u64 * 8);
+        comm.allgather(&state.u)
+    };
+    if let (0, Some(sink)) = (comm.rank(), sink) {
+        let mut snapshot = state.clone();
+        snapshot.u = gathered.concat();
+        snapshot.stopped = None;
+        sink(&snapshot);
     }
 }
 

@@ -31,8 +31,13 @@ use crate::operator::{Operator, OperatorError, SystemOperator};
 use crate::precond::ColumnScaling;
 use crate::solution::{IterationStats, Solution, StopReason};
 
+/// Stop flags [`Operator::agree`]d once per iteration; the largest wins.
+const FLAG_CANCELLED: f64 = 1.0;
+const FLAG_BREAKDOWN: f64 = 2.0;
+
 /// LSQR solver bound to a generic [`Operator`] — the numerics core every
-/// entry point (resident [`Lsqr`], out-of-core [`crate::ooc`]) runs on.
+/// entry point (resident [`Lsqr`], out-of-core [`crate::ooc`], each rank
+/// of [`crate::distributed`]) runs on.
 /// Products are fallible, so every driver method returns `Result`; the
 /// resident wrapper unwraps them (its operator cannot fail).
 pub struct OperatorLsqr<O: Operator> {
@@ -213,7 +218,7 @@ impl<O: Operator> OperatorLsqr<O> {
         let var = vec![0.0f64; if cfg.compute_var { n } else { 0 }];
         let mut tmp_n = vec![0.0f64; n];
 
-        let bnorm = op.nrm2(&u);
+        let bnorm = op.row_nrm2(&u);
         let beta = bnorm;
         let mut alfa = 0.0;
         if beta > 0.0 {
@@ -261,10 +266,16 @@ impl<O: Operator> OperatorLsqr<O> {
 
     /// Advance one LSQR iteration. Returns the stop reason once a rule
     /// fires; `None` means "keep iterating". Calling `try_step` on a
-    /// finished state is a no-op returning the existing reason.
+    /// finished state is a no-op returning the existing reason; a state
+    /// that has used up the iteration budget (a checkpoint taken at the
+    /// last iteration) stops with `IterationLimit` without stepping.
     pub fn try_step(&self, s: &mut LsqrState) -> Result<Option<StopReason>, OperatorError> {
         if let Some(reason) = s.stopped {
             return Ok(Some(reason));
+        }
+        if s.itn >= self.config.max_iters {
+            s.stopped = Some(StopReason::IterationLimit);
+            return Ok(s.stopped);
         }
         let op = &self.op;
         let cfg = &self.config;
@@ -291,7 +302,7 @@ impl<O: Operator> OperatorLsqr<O> {
             tmp_n[i] = s.v[i] * d[i];
         }
         op.aprod1(&tmp_n, &mut s.u)?;
-        s.beta = op.nrm2(&s.u);
+        s.beta = op.row_nrm2(&s.u);
 
         if s.beta > 0.0 {
             op.scal(&mut s.u, 1.0 / s.beta);
@@ -390,18 +401,28 @@ impl<O: Operator> OperatorLsqr<O> {
             seconds: t_iter.elapsed().as_secs_f64(),
         });
 
-        // Health guards run before the convergence tests: a poisoned state
-        // must stop as NumericalBreakdown within the iteration that broke
-        // it, not fall through tests whose NaN comparisons are all false.
-        if crate::health::check_state(&cfg.health, s).is_some() {
+        // Health guards and cancellation run before the convergence tests,
+        // once per iteration on the fully updated iterate: a poisoned state
+        // stops as NumericalBreakdown within the iteration that broke it
+        // (not falling through tests whose NaN comparisons are all false),
+        // and a cancelled state is a checkpoint of a complete iteration.
+        // The flag is agreed before any early return, and breakdown
+        // outranks cancellation, so every rank takes the same decision.
+        let flag = if crate::health::check_state(&cfg.health, s).is_some() {
+            FLAG_BREAKDOWN
+        } else if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+            FLAG_CANCELLED
+        } else {
+            0.0
+        };
+        let last = s.history.last_mut().expect("history pushed above");
+        let (seconds, flag) = op.agree(last.seconds, flag);
+        last.seconds = seconds;
+        if flag >= FLAG_BREAKDOWN {
             s.stopped = Some(StopReason::NumericalBreakdown);
             return Ok(s.stopped);
         }
-
-        // Cancellation shares the health-guard hook point: checked once
-        // per iteration, after the iterate is fully updated, so a
-        // cancelled state is always a checkpoint of a complete iteration.
-        if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+        if flag >= FLAG_CANCELLED {
             s.stopped = Some(StopReason::Cancelled);
             return Ok(s.stopped);
         }

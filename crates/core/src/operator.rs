@@ -89,6 +89,24 @@ pub trait Operator {
         blas::scal(v, s);
     }
 
+    /// Euclidean norm of a row-space vector (`u`, laid out like
+    /// [`known_terms`](Self::known_terms)). An operator over one rank's
+    /// rows reduces the local sum of squares across ranks; every other
+    /// operator takes [`nrm2`](Self::nrm2).
+    fn row_nrm2(&self, u: &[f64]) -> f64 {
+        self.nrm2(u)
+    }
+
+    /// Agree on an iteration's `(seconds, stop flag)` among everyone
+    /// stepping this solve. Called exactly once per iteration, before any
+    /// stop decision, so every rank stops at the same iteration. An
+    /// operator over one rank's rows takes the maximum over ranks (the
+    /// slowest rank's time, and the strongest flag); every other operator
+    /// returns its arguments.
+    fn agree(&self, seconds: f64, stop_flag: f64) -> (f64, f64) {
+        (seconds, stop_flag)
+    }
+
     /// Tile-set provenance, when the matrix is backed by an on-disk
     /// `gaia-tiles/v1` spill directory — recorded into checkpoints so a
     /// resume can verify it is reading the same matrix.

@@ -236,6 +236,58 @@ fn distributed_nan_breakdown_stops_all_ranks() {
     assert_eq!(sol.iterations, poisoned_call);
 }
 
+/// A breakdown and a cancellation in the same iteration resolve one way on
+/// every path: breakdown wins, as it does resident, and no non-finite
+/// state reaches the checkpoint sink.
+#[test]
+fn breakdown_outranks_a_pending_cancellation_distributed_too() {
+    let sys = system(604);
+    let cfg = LsqrConfig::new();
+    let token = gaia_lsqr::CancellationToken::new();
+    token.cancel();
+    // aprod2 call 1 is iteration 1's.
+    let chaos = || ChaosBackend::new(SeqBackend, ChaosTarget::Aprod2, ChaosMode::Nan, 1);
+
+    let resident = Lsqr::new(&sys, &chaos(), cfg)
+        .with_cancel(token.clone())
+        .run();
+    assert_eq!(resident.stop, StopReason::NumericalBreakdown);
+    assert_eq!(resident.iterations, 1);
+
+    let snapshots: Mutex<Vec<LsqrState>> = Mutex::new(Vec::new());
+    let sink = |st: &LsqrState| snapshots.lock().unwrap().push(st.clone());
+    let dist = try_solve_hybrid(
+        &sys,
+        2,
+        &cfg,
+        |rank| {
+            if rank == 1 {
+                Box::new(chaos()) as Box<dyn Backend>
+            } else {
+                Box::new(SeqBackend)
+            }
+        },
+        &DistOptions {
+            checkpoint_every: 1,
+            checkpoint_sink: Some(&sink),
+            cancel: Some(token),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(dist.stop, StopReason::NumericalBreakdown);
+    assert_eq!(dist.iterations, 1);
+    for st in snapshots.into_inner().unwrap() {
+        for v in [&st.x, &st.v, &st.w, &st.u, &st.var] {
+            assert!(
+                v.iter().all(|x| x.is_finite()),
+                "checkpoint at iteration {} carries non-finite state",
+                st.itn
+            );
+        }
+    }
+}
+
 /// With health guards off, the supervisor still recovers a poisoned rank
 /// via the degrade path when the kernel panics outright.
 #[test]
